@@ -166,36 +166,36 @@ func (st *SendState) Drain() []load.Task {
 }
 
 // RemoveNewestReal removes up to max non-dummy tasks from the pool,
-// newest first (task completions). Dummy tokens are skipped — only the
-// end-of-process measurement eliminates them. The remaining pool keeps its
-// order. It returns the removed tasks.
-func (st *SendState) RemoveNewestReal(max int) []load.Task {
-	if max <= 0 {
-		return nil
-	}
-	var removed []load.Task
-	drop := make([]bool, len(st.tasks))
-	for i := len(st.tasks) - 1; i >= 0 && len(removed) < max; i-- {
-		if st.tasks[i].Dummy {
-			continue
-		}
-		drop[i] = true
-		removed = append(removed, st.tasks[i])
-		st.wTotal -= st.tasks[i].Weight
-		st.wReal -= st.tasks[i].Weight
-	}
-	if len(removed) == 0 {
-		return nil
-	}
-	kept := st.tasks[:0]
-	for i, q := range st.tasks {
-		if !drop[i] {
-			kept = append(kept, q)
+// newest first (task completions), and returns their total weight. Dummy
+// tokens are skipped — only the end-of-process measurement eliminates
+// them. The remaining pool keeps its order: every non-dummy task from the
+// oldest removed one onwards is removed, so one in-place compaction of
+// that tail keeps its dummies, and nothing is allocated.
+func (st *SendState) RemoveNewestReal(max int) int64 {
+	lo, removed := len(st.tasks), 0
+	var w int64
+	for lo > 0 && removed < max {
+		lo--
+		if q := st.tasks[lo]; !q.Dummy {
+			removed++
+			w += q.Weight
 		}
 	}
-	st.tasks = kept
+	if removed == 0 {
+		return 0
+	}
+	kept := lo
+	for _, q := range st.tasks[lo:] {
+		if q.Dummy {
+			st.tasks[kept] = q
+			kept++
+		}
+	}
+	st.tasks = st.tasks[:kept]
+	st.wTotal -= w
+	st.wReal -= w
 	st.avail = 0
-	return removed
+	return w
 }
 
 // Tasks returns the node's pool. The slice is owned by the state and must

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -113,7 +112,6 @@ type Engine struct {
 	round int64
 
 	queue eventQueue
-	seq   int64
 
 	// expectedReal is the conserved non-dummy task weight: initial load
 	// plus arrivals minus completions. retiredDummies preserves the
@@ -321,7 +319,7 @@ func (e *Engine) NumEdges() int { return e.topo.NumEdges() }
 func (e *Engine) RealTotal() int64 { return e.expectedReal }
 
 // PendingEvents returns the number of scheduled, not yet applied events.
-func (e *Engine) PendingEvents() int { return len(e.queue) }
+func (e *Engine) PendingEvents() int { return e.queue.len() }
 
 // EventsApplied returns the number of events applied so far.
 func (e *Engine) EventsApplied() int64 { return e.eventsApplied }
@@ -371,8 +369,7 @@ func (e *Engine) Schedule(ev Event) error {
 	if ev.At < e.round {
 		ev.At = e.round
 	}
-	heap.Push(&e.queue, queued{ev: ev, seq: e.seq})
-	e.seq++
+	e.queue.push(ev)
 	return nil
 }
 
@@ -411,8 +408,11 @@ func (e *Engine) Step() error {
 	start := nowMetric()
 	applied := 0
 	var stepErr error
-	for len(e.queue) > 0 && e.queue[0].ev.At <= e.round {
-		ev := heap.Pop(&e.queue).(queued).ev
+	for {
+		ev, ok := e.queue.popDue(e.round)
+		if !ok {
+			break
+		}
 		if err := e.applyEvent(ev); err != nil {
 			e.instr.eventsRejected.Inc()
 			stepErr = fmt.Errorf("engine: round %d %s event: %w", e.round, ev.Kind, err)
@@ -440,7 +440,7 @@ func (e *Engine) Step() error {
 		}
 	}
 	if applied > 0 {
-		e.instr.stage["event_apply"].ObserveDuration(sinceMetric(start))
+		e.instr.stage[stageEventApply].ObserveDuration(sinceMetric(start))
 	}
 	if applied > 0 && !errors.Is(stepErr, ErrInconsistent) {
 		// Validate even when a rejection stopped the batch early: the
@@ -455,7 +455,7 @@ func (e *Engine) Step() error {
 			}
 			stepErr = ledErr
 		}
-		e.instr.stage["ledger"].ObserveDuration(sinceMetric(tLedger))
+		e.instr.stage[stageLedger].ObserveDuration(sinceMetric(tLedger))
 	}
 	if stepErr != nil {
 		if errors.Is(stepErr, ErrInconsistent) || errors.Is(stepErr, ErrWAL) {
@@ -481,7 +481,7 @@ func (e *Engine) Step() error {
 	if e.round%int64(e.sampleEvery) == 0 {
 		tSample := nowMetric()
 		e.sample(sinceMetric(start))
-		e.instr.stage["sample"].ObserveDuration(sinceMetric(tSample))
+		e.instr.stage[stageSample].ObserveDuration(sinceMetric(tSample))
 	}
 	e.instr.stepSeconds.ObserveDuration(sinceMetric(start))
 	return nil
@@ -503,14 +503,14 @@ func (e *Engine) Run(rounds int) error {
 // was reached.
 func (e *Engine) RunUntilBound(maxRounds int) (int, bool, error) {
 	for t := 0; t < maxRounds; t++ {
-		if len(e.queue) == 0 && e.MaxAvg() <= e.Bound() {
+		if e.queue.len() == 0 && e.MaxAvg() <= e.Bound() {
 			return t, true, nil
 		}
 		if err := e.Step(); err != nil {
 			return t, false, err
 		}
 	}
-	return maxRounds, len(e.queue) == 0 && e.MaxAvg() <= e.Bound(), nil
+	return maxRounds, e.queue.len() == 0 && e.MaxAvg() <= e.Bound(), nil
 }
 
 // runRoundFull executes one synchronous balancing round over the whole
@@ -571,10 +571,10 @@ func (e *Engine) runRoundFull() {
 	}
 	e.round++
 	now := nowMetric()
-	e.instr.stage["round_flows"].ObserveDuration(tDecide.Sub(tFlows))
-	e.instr.stage["round_decide"].ObserveDuration(tDeliver.Sub(tDecide))
-	e.instr.stage["round_deliver"].ObserveDuration(tUpdate.Sub(tDeliver))
-	e.instr.stage["round_update"].ObserveDuration(now.Sub(tUpdate))
+	e.instr.stage[stageRoundFlows].ObserveDuration(tDecide.Sub(tFlows))
+	e.instr.stage[stageRoundDecide].ObserveDuration(tDeliver.Sub(tDecide))
+	e.instr.stage[stageRoundDeliver].ObserveDuration(tUpdate.Sub(tDeliver))
+	e.instr.stage[stageRoundUpdate].ObserveDuration(now.Sub(tUpdate))
 	e.instr.roundsTotal.Inc()
 }
 
@@ -1096,7 +1096,7 @@ func (e *Engine) Snapshot(includeLoads bool) Snapshot {
 		Wmax:       e.wmax,
 		RealTotal:  e.expectedReal,
 		Dummies:    e.DummiesCreated(),
-		Pending:    len(e.queue),
+		Pending:    e.queue.len(),
 		Events:     e.eventsApplied,
 		FullAudits: e.fullAudits,
 		MaxAvg:     maxAvg,

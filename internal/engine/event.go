@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/load"
@@ -123,38 +122,134 @@ func kindRank(k Kind) int {
 	}
 }
 
-// queued is an Event with its insertion sequence number for stable ordering.
-type queued struct {
-	ev  Event
-	seq int64
+// numRanks is the number of kindRank values a schedulable event can have.
+const numRanks = 5
+
+// roundBucket holds the pending events due at one round: one FIFO per
+// kindRank, each consumed from its head. lo is the lowest rank that may
+// still hold an event, n the number of events not yet popped.
+type roundBucket struct {
+	at   int64
+	fifo [numRanks][]Event
+	head [numRanks]int
+	lo   int
+	n    int
 }
 
-// eventQueue is a priority queue over (At, kindRank, seq).
-type eventQueue []queued
+// eventQueue orders pending events by (At, kindRank, insertion) without
+// comparing events: each distinct At gets a bucket of per-rank FIFOs, and
+// a min-heap over the buckets' rounds holds only the distinct pending
+// rounds. Popping drains the smallest round's FIFOs in rank order, each
+// in insertion order. A drained bucket is retired and kept as the spare
+// for the next new round, so in steady state (one round filled, then
+// drained) the queue allocates nothing and retains one round's storage.
+type eventQueue struct {
+	rounds []*roundBucket // min-heap by at
+	byAt   map[int64]*roundBucket
+	spare  *roundBucket
+	n      int
+}
 
-func (q eventQueue) Len() int { return len(q) }
+// len returns the number of pending events.
+func (q *eventQueue) len() int { return q.n }
 
-func (q eventQueue) Less(i, j int) bool {
-	a, b := q[i], q[j]
-	if a.ev.At != b.ev.At {
-		return a.ev.At < b.ev.At
+// push enqueues ev behind every pending event with the same At and rank.
+// The kind must be schedulable (kindRank < numRanks).
+//
+//lb:hotpath
+func (q *eventQueue) push(ev Event) {
+	b := q.bucket(ev.At)
+	r := kindRank(ev.Kind)
+	b.fifo[r] = append(b.fifo[r], ev)
+	if r < b.lo {
+		b.lo = r
 	}
-	if ra, rb := kindRank(a.ev.Kind), kindRank(b.ev.Kind); ra != rb {
-		return ra < rb
+	b.n++
+	q.n++
+}
+
+// popDue removes and returns the first pending event in (At, kindRank,
+// insertion) order, provided it is due at round (At <= round).
+//
+//lb:hotpath
+func (q *eventQueue) popDue(round int64) (Event, bool) {
+	if len(q.rounds) == 0 || q.rounds[0].at > round {
+		return Event{}, false
 	}
-	return a.seq < b.seq
+	b := q.rounds[0]
+	r := b.lo
+	for b.head[r] == len(b.fifo[r]) {
+		r++
+	}
+	b.lo = r
+	ev := b.fifo[r][b.head[r]]
+	b.head[r]++
+	b.n--
+	q.n--
+	if b.n == 0 {
+		q.retire()
+	}
+	return ev, true
 }
 
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(queued)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
+// bucket returns the bucket of round at, opening one (the spare, when
+// there is one) if the round has no pending events.
+func (q *eventQueue) bucket(at int64) *roundBucket {
+	if b, ok := q.byAt[at]; ok {
+		return b
+	}
+	if q.byAt == nil {
+		q.byAt = make(map[int64]*roundBucket)
+	}
+	b := q.spare
+	q.spare = nil
+	if b == nil {
+		b = new(roundBucket)
+	}
+	b.at, b.lo = at, numRanks
+	q.byAt[at] = b
+	q.rounds = append(q.rounds, b)
+	for i := len(q.rounds) - 1; i > 0; {
+		p := (i - 1) / 2
+		if q.rounds[p].at <= at {
+			break
+		}
+		q.rounds[i], q.rounds[p] = q.rounds[p], q.rounds[i]
+		i = p
+	}
+	return b
 }
 
-var _ heap.Interface = (*eventQueue)(nil)
+// retire removes the drained smallest-round bucket from the heap and
+// resets it as the spare; its FIFOs are cleared so the popped events'
+// task slices are not kept alive.
+func (q *eventQueue) retire() {
+	b := q.rounds[0]
+	last := len(q.rounds) - 1
+	q.rounds[0] = q.rounds[last]
+	q.rounds[last] = nil
+	q.rounds = q.rounds[:last]
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < last && q.rounds[l].at < q.rounds[m].at {
+			m = l
+		}
+		if r < last && q.rounds[r].at < q.rounds[m].at {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		q.rounds[i], q.rounds[m] = q.rounds[m], q.rounds[i]
+		i = m
+	}
+	delete(q.byAt, b.at)
+	if q.spare == nil {
+		for r := range b.fifo {
+			clear(b.fifo[r])
+			b.fifo[r] = b.fifo[r][:0]
+			b.head[r] = 0
+		}
+		q.spare = b
+	}
+}

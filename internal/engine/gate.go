@@ -373,7 +373,7 @@ func (e *Engine) runRound() {
 		e.gateWakeAll()
 		g.hotEdges = e.topo.NumEdges()
 		g.hotNodes = e.topo.NumNodes()
-		e.instr.stage["gate_maintain"].ObserveDuration(sinceMetric(tMaint))
+		e.instr.stage[stageGateMaintain].ObserveDuration(sinceMetric(tMaint))
 		return
 	}
 	g.fullStreak = 0
@@ -429,7 +429,7 @@ func (e *Engine) runRoundFullProbe() {
 			e.gateWakeNode(i)
 		}
 	}
-	e.instr.stage["gate_maintain"].ObserveDuration(snapDur + sinceMetric(tMaint))
+	e.instr.stage[stageGateMaintain].ObserveDuration(snapDur + sinceMetric(tMaint))
 }
 
 // runRoundGated is the hot-frontier round: the same four phases as
@@ -535,11 +535,11 @@ func (e *Engine) runRoundGated(hotEdges int) {
 
 	e.round++
 	now := nowMetric()
-	e.instr.stage["round_flows"].ObserveDuration(tDecide.Sub(tFlows))
-	e.instr.stage["round_decide"].ObserveDuration(tDeliver.Sub(tDecide))
-	e.instr.stage["round_deliver"].ObserveDuration(tUpdate.Sub(tDeliver))
-	e.instr.stage["round_update"].ObserveDuration(tMaint.Sub(tUpdate))
-	e.instr.stage["gate_maintain"].ObserveDuration(swapDur + now.Sub(tMaint))
+	e.instr.stage[stageRoundFlows].ObserveDuration(tDecide.Sub(tFlows))
+	e.instr.stage[stageRoundDecide].ObserveDuration(tDeliver.Sub(tDecide))
+	e.instr.stage[stageRoundDeliver].ObserveDuration(tUpdate.Sub(tDeliver))
+	e.instr.stage[stageRoundUpdate].ObserveDuration(tMaint.Sub(tUpdate))
+	e.instr.stage[stageGateMaintain].ObserveDuration(swapDur + now.Sub(tMaint))
 	e.instr.roundsTotal.Inc()
 }
 

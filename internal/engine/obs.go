@@ -16,11 +16,27 @@ const (
 	MetricStepSeconds = "engine_step_seconds"
 )
 
+// stage indexes the per-stage step timers, in execution order.
+type stage int
+
+const (
+	stageEventApply stage = iota
+	stageLedger
+	stageRoundFlows
+	stageRoundDecide
+	stageRoundDeliver
+	stageRoundUpdate
+	stageGateMaintain
+	stageSample
+	numStages
+)
+
+// stageNames are the label values of MetricStepStageSeconds, by stage.
+var stageNames = [numStages]string{"event_apply", "ledger", "round_flows", "round_decide", "round_deliver", "round_update", "gate_maintain", "sample"}
+
 // StageNames lists the stage label values of MetricStepStageSeconds in
 // execution order.
-func StageNames() []string {
-	return []string{"event_apply", "ledger", "round_flows", "round_decide", "round_deliver", "round_update", "gate_maintain", "sample"}
-}
+func StageNames() []string { return append([]string(nil), stageNames[:]...) }
 
 // instruments is the engine's handle bundle on its obs registry. All
 // fields are pre-registered at engine construction so a scrape sees every
@@ -29,7 +45,7 @@ type instruments struct {
 	reg *obs.Registry
 
 	stepSeconds *obs.Histogram
-	stage       map[string]*obs.Histogram
+	stage       [numStages]*obs.Histogram
 
 	roundsTotal    *obs.Counter
 	eventsApplied  [6]*obs.Counter // indexed by Kind (1..5)
@@ -57,7 +73,6 @@ func newInstruments(reg *obs.Registry) *instruments {
 	in := &instruments{
 		reg:         reg,
 		stepSeconds: reg.Histogram(MetricStepSeconds, "Wall time of whole engine Step calls (event batch, balancing round, metrics sample).", nil),
-		stage:       make(map[string]*obs.Histogram, 8),
 		roundsTotal: reg.Counter("engine_rounds_total", "Completed balancing rounds."),
 		eventsRejected: reg.Counter("engine_events_rejected_total",
 			"Events rejected at apply time (invalid node, topology conflict); the engine stays usable."),
@@ -81,10 +96,10 @@ func newInstruments(reg *obs.Registry) *instruments {
 		hotEdges: reg.Gauge("engine_hot_edges",
 			"Activity-gate hot-set edge occupancy of the last executed round (all active edges when gating is off)."),
 	}
-	for _, stage := range StageNames() {
-		in.stage[stage] = reg.Histogram(MetricStepStageSeconds,
+	for st, name := range stageNames {
+		in.stage[st] = reg.Histogram(MetricStepStageSeconds,
 			"Wall time per Step stage: event application, ledger validation, the four balancing-round phases, metrics sampling.",
-			nil, obs.Label{Key: "stage", Value: stage})
+			nil, obs.Label{Key: "stage", Value: name})
 	}
 	for k := KindTaskArrival; k <= KindEdgeChange; k++ {
 		in.eventsApplied[k] = reg.Counter("engine_events_applied_total",
@@ -100,7 +115,7 @@ func (in *instruments) publish(e *Engine, maxAvg, maxMin, potential float64) {
 	in.round.SetInt(e.round)
 	in.nodes.SetInt(int64(e.topo.NumNodes()))
 	in.edges.SetInt(int64(e.topo.NumEdges()))
-	in.pending.SetInt(int64(len(e.queue)))
+	in.pending.SetInt(int64(e.queue.len()))
 	in.wmax.SetInt(e.wmax)
 	in.realTotal.SetInt(e.expectedReal)
 	in.dummies.SetInt(e.ledCreated)
@@ -173,7 +188,7 @@ func (e *Engine) recordRound(s Sample) {
 	e.flight.Append(TraceRecord{
 		Seq: e.traceSeq, Type: "round", Round: s.Round,
 		Nodes: s.Nodes, Edges: s.Edges, Events: s.Events,
-		Pending: len(e.queue), MaxAvg: s.MaxAvg, StepNanos: s.StepNanos,
+		Pending: e.queue.len(), MaxAvg: s.MaxAvg, StepNanos: s.StepNanos,
 		HotNodes: s.HotNodes, HotEdges: s.HotEdges,
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -56,6 +57,10 @@ func TestStepInstrumentation(t *testing.T) {
 	}
 	if got := m["engine_step_seconds_count"]; got != rounds {
 		t.Errorf("engine_step_seconds_count = %v, want %d", got, rounds)
+	}
+	// The exported label set is part of the /metrics/prom contract.
+	if got, want := StageNames(), []string{"event_apply", "ledger", "round_flows", "round_decide", "round_deliver", "round_update", "gate_maintain", "sample"}; !slices.Equal(got, want) {
+		t.Errorf("StageNames() = %q, want %q", got, want)
 	}
 	for _, stage := range []string{"round_flows", "round_decide", "round_deliver", "round_update", "gate_maintain", "sample"} {
 		want := float64(rounds)

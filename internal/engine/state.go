@@ -451,7 +451,7 @@ func wireToEvent(w *wire.Event) (Event, error) {
 
 // ReplayStep re-executes one committed step from the log: it applies the
 // batch's events directly in their logged order — bypassing the event
-// queue, whose (At, kind, seq) ordering was already resolved when the
+// queue, whose (At, kind, insertion) ordering was already resolved when the
 // events were applied the first time — then runs one balancing round and
 // checks the engine against the batch's round marker. A mismatch means
 // the replay diverged from the run that wrote the log; the failure is

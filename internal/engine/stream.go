@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -91,16 +90,14 @@ func FromWire(req *WireEvent) (Event, error) {
 }
 
 // ParseEventLine decodes one NDJSON line into a runtime event. It
-// rejects trailing data after the JSON value, so a concatenation of two
-// events on one line is an error rather than a silent drop.
+// accepts exactly the lines json.Unmarshal accepts into a WireEvent, so
+// any non-whitespace after the object — a second event, a stray bracket —
+// is an error rather than a silent drop. See decodeWire for the
+// canonical-form fast path.
 func ParseEventLine(line []byte) (Event, error) {
 	var req WireEvent
-	dec := json.NewDecoder(bytes.NewReader(line))
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeWire(line, &req); err != nil {
 		return Event{}, fmt.Errorf("decode event: %w", err)
-	}
-	if dec.More() {
-		return Event{}, errors.New("trailing data after event")
 	}
 	return FromWire(&req)
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -373,6 +374,9 @@ func TestParseEventLine(t *testing.T) {
 	}{
 		{"garbage", `{{{`},
 		{"trailing data", `{"kind":"leave","node":1} {"kind":"leave","node":2}`},
+		{"trailing brace", `{"kind":"leave","node":1} }`},
+		{"trailing bracket", `{"kind":"leave","node":1}]`},
+		{"trailing brackets", `{"kind":"leave","node":1} ]]]}`},
 		{"unknown kind", `{"kind":"reboot"}`},
 		{"zero tokens", `{"kind":"arrival","node":0,"tokens":0}`},
 		{"negative tokens", `{"kind":"arrival","node":0,"tokens":-4}`},
@@ -391,21 +395,66 @@ func TestParseEventLine(t *testing.T) {
 
 // FuzzParseEventLine fuzzes the NDJSON decoder: any input must either
 // fail cleanly or produce a structurally valid event — no panics, no
-// dummy tasks, no unbounded allocations from a short line.
+// dummy tasks, no unbounded allocations from a short line. It is also a
+// differential oracle against encoding/json: the decoded wire value, the
+// accept/reject decision, the decode error and the FromWire result must
+// all equal those of json.Unmarshal into a WireEvent.
 func FuzzParseEventLine(f *testing.F) {
 	f.Add([]byte(`{"kind":"arrival","node":3,"tokens":5}`))
 	f.Add([]byte(`{"kind":"arrival","node":0,"tokens":2,"weight":9,"at":17}`))
+	f.Add([]byte(`{"kind":"arrival","node":4,"weights":[3,1,2]}`))
+	f.Add([]byte(`{"kind":"arrival","node":4,"tokens":2,"weights":[5,5]}`))
 	f.Add([]byte(`{"kind":"completion","node":1,"count":4}`))
 	f.Add([]byte(`{"kind":"join","speed":2,"peers":[0,1,2]}`))
+	f.Add([]byte(`{"kind":"join","at":-3,"peers":[]}`))
 	f.Add([]byte(`{"kind":"leave","node":9}`))
 	f.Add([]byte(`{"kind":"edge-change","add":[[0,5]],"remove":[[1,2]]}`))
+	f.Add([]byte(`{"kind":"edge-change","add":[[0,5,7]],"remove":[[1]]}`))
+	f.Add([]byte(`{"weights":[]}`))
+	f.Add([]byte(`{"add":[],"remove":[]}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(" \t{ \"kind\" : \"leave\" ,\r\n\"node\":\t-0 } \n"))
+	f.Add([]byte(`{"kind":"le\u0061ve","node":1}`))
+	f.Add([]byte(`{"k\u0069nd":"leave","node":1}`))
+	f.Add([]byte(`{"KIND":"leave","Node":1}`))
+	f.Add([]byte(`{"kind":"leave","node":1,"node":2}`))
+	f.Add([]byte(`{"kind":"arrival","node":1,"tokens":null}`))
+	f.Add([]byte(`{"kind":"arrival","node":1,"tokens":2.0}`))
+	f.Add([]byte(`{"kind":"arrival","node":1,"tokens":1e1}`))
+	f.Add([]byte(`{"kind":"arrival","node":1,"tokens":01}`))
+	f.Add([]byte(`{"kind":"arrival","node":1,"tokens":99999999999999999999}`))
+	f.Add([]byte(`{"kind":"arrival","node":1,"tokens":5,"extra":{"a":[1]}}`))
+	f.Add([]byte(`{"kind":"leave","node":1} ]]]}`))
 	f.Add([]byte(`{"kind":"arrival","tokens":1} trailing`))
+	f.Add([]byte(`null`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, line []byte) {
+		var got, want WireEvent
+		gotErr := decodeWire(line, &got)
+		wantErr := json.Unmarshal(line, &want)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("decode %q: error %v, encoding/json %v", line, gotErr, wantErr)
+		}
 		ev, err := ParseEventLine(line)
+		if wantErr != nil {
+			if err == nil {
+				t.Fatalf("ParseEventLine accepted %q, encoding/json rejects it: %v", line, wantErr)
+			}
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decode %q:\n got  %#v\n want %#v", line, got, want)
+		}
+		wantEv, wantFromErr := FromWire(&want)
+		if (err == nil) != (wantFromErr == nil) || (err != nil && err.Error() != wantFromErr.Error()) {
+			t.Fatalf("ParseEventLine %q: error %v, FromWire of encoding/json's value %v", line, err, wantFromErr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(ev, wantEv) {
+			t.Fatalf("ParseEventLine %q:\n got  %#v\n want %#v", line, ev, wantEv)
 		}
 		switch ev.Kind {
 		case KindTaskArrival:
