@@ -1,8 +1,9 @@
-// Command lbsweep runs the scaling ("figure") experiments F1–F6 from
-// DESIGN.md — the Theorem 3 and Theorem 8 discrepancy-vs-parameter sweeps,
-// the continuous convergence-time comparison, the dummy-token sweep, the
-// SOS negative-load check — plus the ablations F7–F10 (potential drop,
-// α choice, Algorithm 1 task policy, SOS β sweep, excess-token vs rotor).
+// Command lbsweep runs the scaling ("figure") experiments F1–F6 listed in
+// README.md's command table — the Theorem 3 and Theorem 8
+// discrepancy-vs-parameter sweeps, the continuous convergence-time
+// comparison, the dummy-token sweep, the SOS negative-load check — plus
+// the ablations F7–F10 (potential drop, α choice, Algorithm 1 task
+// policy, SOS β sweep, excess-token vs rotor).
 //
 // Usage:
 //

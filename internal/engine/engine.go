@@ -66,7 +66,8 @@ type Config struct {
 
 // outMsg is one round's batch on an edge: the receiving node slot and the
 // tasks. Exactly one endpoint (the sender) writes the slot during the
-// decide phase and exactly the receiver consumes it during delivery.
+// decide phase, exactly the receiver consumes it during delivery, and the
+// update phase empties it.
 type outMsg struct {
 	to    int
 	tasks []load.Task
@@ -145,7 +146,7 @@ type Engine struct {
 	deepAudit  bool
 	fullAudits int64
 
-	ring        *Ring
+	samples     *obs.FlightRecorder[Sample]
 	sampleEvery int
 	closed      bool
 
@@ -162,7 +163,7 @@ type Engine struct {
 
 	// gate is the activity-gate state: the hot-frontier worklists that let
 	// runRound skip provably-asleep regions. Never serialized — every
-	// construction path reconstructs it conservatively (see initGate).
+	// construction path reconstructs it conservatively (see start).
 	gate gate
 
 	// wal, when set (AttachWAL/Config.WAL), receives every applied event
@@ -174,16 +175,14 @@ type Engine struct {
 	// sink call does not force a heap allocation per event (see logEvent).
 	walScratch wire.Event
 
-	// Cached per-phase shard callbacks: bound once in initGate so the
+	// Cached per-phase shard callbacks: bound once in newEngine so the
 	// round phases hand pool.forEach a preallocated func value instead of
 	// allocating a closure every round (enforced by lblint's hotalloc
 	// gate). roundWmaxF is the decide threshold of the round in flight,
 	// published before the decide phase fans out.
-	roundWmaxF     float64
-	decideFullFn   func(int)
-	deliverFullFn  func(int)
-	decideGatedFn  func(int)
-	deliverGatedFn func(int)
+	roundWmaxF float64
+	decideFn   func(int)
+	deliverFn  func(int)
 }
 
 // ErrClosed is returned by operations on a closed engine.
@@ -219,48 +218,8 @@ func New(cfg Config) (*Engine, error) {
 	if err := tasks.Validate(); err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		// Worker-count default. Round phases are sharded race-free (single
-		// writer per slot, forEach barriers), so results are bit-identical
-		// for any worker count — parallelism is a throughput knob only.
-		workers = runtime.GOMAXPROCS(0) //lb:statefree worker-count default; sharded phases are bit-identical for any worker count
-	}
-	window := cfg.MetricsWindow
-	if window <= 0 {
-		window = 1024
-	}
-	sampleEvery := cfg.SampleEvery
-	if sampleEvery <= 0 {
-		sampleEvery = 1
-	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	flightWindow := cfg.FlightWindow
-	if flightWindow <= 0 {
-		flightWindow = 1024
-	}
-	e := &Engine{
-		topo:        graph.NewDynamic(g),
-		pool:        newWorkerPool(workers),
-		s:           make([]int64, g.N()),
-		x:           make([]float64, g.N()),
-		st:          make([]*dist.SendState, g.N()),
-		alpha:       make([]float64, g.M()),
-		fA:          make([]float64, g.M()),
-		fD:          make([]int64, g.M()),
-		net:         make([]float64, g.M()),
-		gap:         make([]float64, g.M()),
-		outbox:      make([]outMsg, g.M()),
-		wmax:        tasks.MaxWeight(),
-		ring:        newRing(window),
-		sampleEvery: sampleEvery,
-		deepAudit:   cfg.DeepAudit,
-		instr:       newInstruments(reg),
-		flight:      obs.NewFlightRecorder[TraceRecord](flightWindow),
-	}
+	e := newEngine(cfg, graph.NewDynamic(g))
+	e.wmax = tasks.MaxWeight()
 	copy(e.s, cfg.Speeds)
 	for _, sp := range cfg.Speeds {
 		e.speedSum += sp
@@ -279,14 +238,73 @@ func New(cfg Config) (*Engine, error) {
 	e.ledCreated = e.retiredDummies
 	alpha, err := continuous.DefaultAlphas(g, cfg.Speeds)
 	if err != nil {
-		e.pool.close()
 		return nil, err
 	}
 	copy(e.alpha, alpha)
-	e.initGate(cfg.Gate == GateOn)
+	return e.start(cfg)
+}
+
+// newEngine applies cfg's runtime defaults (metrics window, sample
+// cadence, registry, flight window) and allocates an engine over topo
+// with zeroed per-slot state. New and NewFromState fill the state in and
+// finish with start.
+func newEngine(cfg Config, topo *graph.Dynamic) *Engine {
+	window := cfg.MetricsWindow
+	if window <= 0 {
+		window = 1024
+	}
+	sampleEvery := cfg.SampleEvery
+	if sampleEvery <= 0 {
+		sampleEvery = 1
+	}
+	reg := cfg.Registry
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	flightWindow := cfg.FlightWindow
+	if flightWindow <= 0 {
+		flightWindow = 1024
+	}
+	ns, es := topo.NodeSlots(), topo.EdgeSlots()
+	e := &Engine{
+		topo:        topo,
+		s:           make([]int64, ns),
+		x:           make([]float64, ns),
+		st:          make([]*dist.SendState, ns),
+		alpha:       make([]float64, es),
+		fA:          make([]float64, es),
+		fD:          make([]int64, es),
+		net:         make([]float64, es),
+		gap:         make([]float64, es),
+		outbox:      make([]outMsg, es),
+		gate:        gate{edgePending: newHotSet(es), nodePending: newHotSet(ns), x0: make([]float64, ns)},
+		samples:     obs.NewFlightRecorder[Sample](window),
+		sampleEvery: sampleEvery,
+		deepAudit:   cfg.DeepAudit,
+		instr:       newInstruments(reg),
+		flight:      obs.NewFlightRecorder[TraceRecord](flightWindow),
+	}
+	e.decideFn = e.decideNode
+	e.deliverFn = e.deliverNode
+	return e
+}
+
+// start is the last step of every construction path: it starts the
+// worker pool, reconstructs the activity gate (waking the whole graph
+// when cfg gates) and attaches cfg.WAL.
+func (e *Engine) start(cfg Config) (*Engine, error) {
+	workers := cfg.Workers
+	if workers <= 0 {
+		// Worker-count default. Round phases are sharded race-free (single
+		// writer per slot, forEach barriers), so results are bit-identical
+		// for any worker count — parallelism is a throughput knob only.
+		workers = runtime.GOMAXPROCS(0) //lb:statefree worker-count default; sharded phases are bit-identical for any worker count
+	}
+	e.pool = newWorkerPool(workers)
+	e.WithGate(cfg.Gate == GateOn)
 	if cfg.WAL != nil {
 		if err := e.AttachWAL(cfg.WAL, cfg.SnapshotEvery); err != nil {
-			e.pool.close()
+			e.Close()
 			return nil, err
 		}
 	}
@@ -513,22 +531,28 @@ func (e *Engine) RunUntilBound(maxRounds int) (int, bool, error) {
 	return maxRounds, e.queue.len() == 0 && e.MaxAvg() <= e.Bound(), nil
 }
 
-// runRoundFull executes one synchronous balancing round over the whole
-// current topology: continuous FOS flows and the residual-gap snapshot
-// (serial, O(m)), then sharded per-node send decisions and deliveries,
-// then the continuous load update. It is the ungated path; runRound (in
-// gate.go) dispatches between it and the hot-frontier round.
+// runRound executes one synchronous balancing round over the worklists
+// gateBegin picks (every slot, or the hot frontier; see gate.go):
+// continuous flows and the residual-gap snapshot (serial), sharded
+// per-node send decisions and deliveries, then the continuous load update
+// (serial). The serial edge phases visit the worklist in ascending slot
+// order, so every float accumulation happens in exactly the ungated
+// sequence and the result is bit-identical whatever the worklist. A
+// maintained round folds the gate's edge wakes into phases 1 and 4.
 //
 //lb:hotpath
-func (e *Engine) runRoundFull() {
-	tFlows := nowMetric()
-	edgeSlots := e.topo.EdgeSlots()
+func (e *Engine) runRound() {
+	g := &e.gate
+	tBegin := nowMetric()
+	e.gateBegin()
+	edges, maintain := g.edges, g.maintain
 	// Phase 1: continuous flows, cumulative f^A, and the per-edge residual
 	// snapshot. The snapshot is what makes the decide phase race-free:
 	// only the sending endpoint of an edge writes f^D, and nobody reads it
 	// until the next round.
-	for id := 0; id < edgeSlots; id++ {
-		e.outbox[id].tasks = nil
+	tFlows := nowMetric()
+	for k := 0; k < edges.n; k++ {
+		id := edges.at(k)
 		u, v := e.topo.EdgeEndpoints(id)
 		if u < 0 {
 			e.net[id] = 0
@@ -538,16 +562,19 @@ func (e *Engine) runRoundFull() {
 		yvu := e.alpha[id] / float64(e.s[v]) * e.x[v]
 		n := yuv - yvu
 		e.net[id] = n
-		e.fA[id] += n
-		e.gap[id] = e.fA[id] - float64(e.fD[id])
+		fA := e.fA[id] + n
+		if maintain && math.Float64bits(fA) != math.Float64bits(e.fA[id]) {
+			e.gateWakeEdge(id, u, v)
+		}
+		e.fA[id] = fA
+		e.gap[id] = fA - float64(e.fD[id])
 	}
 	// Phase 2: per-node send decisions, sharded over the worker pool. Each
 	// node touches only its own pool, the f^D of edges it sends on (single
 	// writer), and its own outbox slots.
 	tDecide := nowMetric()
-	nodeSlots := e.topo.NodeSlots()
 	e.roundWmaxF = float64(e.wmax) - core.RoundingEps
-	e.pool.forEach(nodeSlots, e.decideFullFn)
+	e.pool.forEach(g.nodes.n, e.decideFn)
 	// Fold this round's dummy draws into the ledger (serial: forEach is a
 	// completion barrier).
 	if d := e.roundDummies.Swap(0); d != 0 {
@@ -555,38 +582,57 @@ func (e *Engine) runRoundFull() {
 		e.ledCreated += d
 	}
 	// Phase 3: deliveries, sharded by receiver. The outbox is read-only in
-	// this phase (slots are reset at the start of the next round), so both
-	// endpoints may inspect an edge's slot concurrently; only the receiver
-	// appends, and only to its own pool.
+	// this phase, so both endpoints may inspect an edge's slot
+	// concurrently; only the receiver appends, and only to its own pool.
 	tDeliver := nowMetric()
-	e.pool.forEach(nodeSlots, e.deliverFullFn)
-	// Phase 4: advance the continuous replica.
+	e.pool.forEach(g.nodes.n, e.deliverFn)
+	// Phase 4: empty each outbox slot that carried a batch (a maintained
+	// round first re-wakes its edge), and advance the continuous replica.
 	tUpdate := nowMetric()
-	for id := 0; id < edgeSlots; id++ {
+	for k := 0; k < edges.n; k++ {
+		id := edges.at(k)
+		if m := &e.outbox[id]; m.tasks != nil {
+			m.tasks = nil
+			if maintain {
+				u, v := e.topo.EdgeEndpoints(id)
+				e.gateWakeEdge(id, u, v)
+			}
+		}
 		if n := e.net[id]; n != 0 {
 			u, v := e.topo.EdgeEndpoints(id)
 			e.x[u] -= n
 			e.x[v] += n
 		}
 	}
+	tEnd := nowMetric()
+	e.gateEnd()
 	e.round++
 	now := nowMetric()
 	e.instr.stage[stageRoundFlows].ObserveDuration(tDecide.Sub(tFlows))
 	e.instr.stage[stageRoundDecide].ObserveDuration(tDeliver.Sub(tDecide))
 	e.instr.stage[stageRoundDeliver].ObserveDuration(tUpdate.Sub(tDeliver))
-	e.instr.stage[stageRoundUpdate].ObserveDuration(now.Sub(tUpdate))
+	e.instr.stage[stageRoundUpdate].ObserveDuration(tEnd.Sub(tUpdate))
+	if g.on {
+		e.instr.stage[stageGateMaintain].ObserveDuration(tFlows.Sub(tBegin) + now.Sub(tEnd))
+	}
 	e.instr.roundsTotal.Inc()
 }
 
-// decideFullNode is runRoundFull's phase-2 body for one node slot: node
-// i's send decisions against this round's residual snapshot. Bound once
-// as e.decideFullFn (initGate) so the fan-out allocates no closure per
-// round.
+// decideNode is runRound's phase-2 body for the k-th worklist node: its
+// send decisions against this round's residual snapshot, over every
+// incident arc (a cold arc's stored gap is sub-threshold, see gate.go).
+// In a maintained round the node also snapshots its own x for gate
+// maintenance. Bound once as e.decideFn so the fan-out allocates no
+// closure per round.
 //
 //lb:hotpath
-func (e *Engine) decideFullNode(i int) {
+func (e *Engine) decideNode(k int) {
+	i := e.gate.nodes.at(k)
 	if !e.topo.Active(i) {
 		return
+	}
+	if e.gate.maintain {
+		e.gate.x0[i] = e.x[i]
 	}
 	st := e.st[i]
 	st.BeginRound()
@@ -613,17 +659,18 @@ func (e *Engine) decideFullNode(i int) {
 	}
 }
 
-// deliverFullNode is runRoundFull's phase-3 body for one node slot:
-// consume the batches addressed to node i. Bound once as e.deliverFullFn.
+// deliverNode is runRound's phase-3 body for the k-th worklist node:
+// consume the batches addressed to it (every non-empty outbox slot holds
+// a batch of this round, see gate.go). Bound once as e.deliverFn.
 //
 //lb:hotpath
-func (e *Engine) deliverFullNode(i int) {
+func (e *Engine) deliverNode(k int) {
+	i := e.gate.nodes.at(k)
 	if !e.topo.Active(i) {
 		return
 	}
 	for _, a := range e.topo.Neighbors(i) {
-		m := &e.outbox[a.Edge]
-		if m.tasks != nil && m.to == i {
+		if m := &e.outbox[a.Edge]; m.tasks != nil && m.to == i {
 			e.st[i].AddTasks(m.tasks)
 		}
 	}
@@ -894,7 +941,8 @@ func (e *Engine) growNode(slot int) {
 		e.s = append(e.s, 0)
 		e.x = append(e.x, 0)
 		e.st = append(e.st, nil)
-		e.growGateNode(slot)
+		e.gate.x0 = append(e.gate.x0, 0)
+		e.gate.nodePending.grow(slot + 1)
 	}
 }
 
@@ -907,7 +955,7 @@ func (e *Engine) growEdge(id int) {
 		e.net = append(e.net, 0)
 		e.gap = append(e.gap, 0)
 		e.outbox = append(e.outbox, outMsg{})
-		e.growGateEdge(id)
+		e.gate.edgePending.grow(id + 1)
 	}
 }
 
@@ -987,12 +1035,6 @@ func (e *Engine) AuditFull() error {
 	return nil
 }
 
-// CheckConservation is the historical name of the full recount.
-//
-// Deprecated: use AuditFull (same behaviour); the per-event invocation it
-// used to imply is now the opt-in deep-audit mode.
-func (e *Engine) CheckConservation() error { return e.AuditFull() }
-
 // MaxAvg returns the current max-avg discrepancy of the real load over the
 // active nodes — the Theorem 3 quantity.
 func (e *Engine) MaxAvg() float64 {
@@ -1042,7 +1084,7 @@ func (e *Engine) sample(elapsed time.Duration) {
 		HotNodes:  e.HotNodes(),
 		HotEdges:  e.HotEdges(),
 	}
-	e.ring.append(s)
+	e.samples.Append(s)
 	e.instr.publish(e, maxAvg, maxMin, potential)
 	e.recordRound(s)
 }
@@ -1050,13 +1092,19 @@ func (e *Engine) sample(elapsed time.Duration) {
 // Samples returns up to max metrics samples in chronological order (all
 // buffered samples when max <= 0). The sample ring is internally locked,
 // so Samples and LastSample are safe to call concurrently with a Step
-// running under the server mutex — they are the engine's only
-// lock-free-read surface (see Ring's concurrency contract).
-func (e *Engine) Samples(max int) []Sample { return e.ring.Samples(max) }
+// running under the server mutex. The lock protects only the sample
+// buffer: every other Engine method still needs the serialization domain.
+func (e *Engine) Samples(max int) []Sample { return e.samples.Records(max) }
 
 // LastSample returns the most recent metrics sample, if any. Safe to call
 // concurrently with Step; see Samples.
-func (e *Engine) LastSample() (Sample, bool) { return e.ring.Last() }
+func (e *Engine) LastSample() (Sample, bool) {
+	last := e.samples.Records(1)
+	if len(last) == 0 {
+		return Sample{}, false
+	}
+	return last[0], true
+}
 
 // Snapshot is a point-in-time summary of the runtime, JSON-friendly for
 // the lbserve daemon.

@@ -391,28 +391,38 @@ func TestEngineHandoffToCluster(t *testing.T) {
 	}
 }
 
-// TestRingWindow exercises the metrics ring eviction.
+// TestRingWindow exercises the metrics window eviction through the
+// engine's read surface: a 4-sample window keeps the newest four samples,
+// oldest first.
 func TestRingWindow(t *testing.T) {
-	r := newRing(4)
-	if _, ok := r.Last(); ok {
-		t.Fatal("empty ring has a last sample")
+	g, err := graph.Torus(3, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := int64(1); i <= 6; i++ {
-		r.append(Sample{Round: i})
+	e, err := New(Config{Graph: g, Speeds: load.UniformSpeeds(g.N()), Workers: 1, MetricsWindow: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.Len() != 4 {
-		t.Fatalf("ring length %d, want 4", r.Len())
+	defer e.Close()
+	if _, ok := e.LastSample(); ok {
+		t.Fatal("fresh engine has a last sample")
 	}
-	got := r.Samples(0)
+	if err := e.Run(6); err != nil {
+		t.Fatal(err)
+	}
+	got := e.Samples(0)
+	if len(got) != 4 {
+		t.Fatalf("window holds %d samples, want 4", len(got))
+	}
 	for k, want := range []int64{3, 4, 5, 6} {
 		if got[k].Round != want {
 			t.Fatalf("sample %d round %d, want %d", k, got[k].Round, want)
 		}
 	}
-	if last, _ := r.Last(); last.Round != 6 {
+	if last, _ := e.LastSample(); last.Round != 6 {
 		t.Fatalf("last round %d, want 6", last.Round)
 	}
-	if got := r.Samples(2); len(got) != 2 || got[0].Round != 5 {
+	if got := e.Samples(2); len(got) != 2 || got[0].Round != 5 {
 		t.Fatalf("Samples(2) = %+v", got)
 	}
 }

@@ -221,6 +221,86 @@ func TestGateWakeLocality(t *testing.T) {
 	})
 }
 
+// TestGateProbeSleepsQuiescedFallback pins the fallback → probe → sleep
+// transition. State-neutral arrival/completion pairs at every node keep a
+// uniform torus fully hot for more than gateProbeEvery rounds, so it runs
+// the blanket re-wake fallback across at least one probe. Once the events
+// stop, the state sits at its bitwise fixed point: the next probe must
+// empty the pending set within gateProbeEvery rounds, and the round after
+// it must run over an empty worklist. The gated engine stays
+// hash-identical to a GateOff twin throughout.
+func TestGateProbeSleepsQuiescedFallback(t *testing.T) {
+	build := func(mode GateMode) *Engine {
+		g, err := graph.Torus(6, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vec := make([]int64, g.N())
+		for i := range vec {
+			vec[i] = 8
+		}
+		tasks, err := load.NewTokens(vec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(Config{Graph: g, Speeds: load.UniformSpeeds(g.N()), Tasks: tasks, Workers: 2, Gate: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(e.Close)
+		return e
+	}
+	gated, full := build(GateOn), build(GateOff)
+	step := func(phase string, r int) {
+		t.Helper()
+		if err := gated.Step(); err != nil {
+			t.Fatalf("%s round %d: %v", phase, r, err)
+		}
+		if err := full.Step(); err != nil {
+			t.Fatalf("%s round %d: %v", phase, r, err)
+		}
+		if gated.StateHash() != full.StateHash() {
+			t.Fatalf("%s round %d: gated state diverged from ungated", phase, r)
+		}
+	}
+
+	for r := 0; r < gateProbeEvery+10; r++ {
+		for _, e := range []*Engine{gated, full} {
+			for i := 0; i < e.NumNodes(); i++ {
+				if err := e.Schedule(Arrival(e.Round(), i, 4)); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Schedule(Completion(e.Round(), i, 4)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		step("hot", r)
+		if gated.HotEdges() != gated.NumEdges() {
+			t.Fatalf("hot round %d: %d of %d edges hot, want the fully-hot fallback",
+				r, gated.HotEdges(), gated.NumEdges())
+		}
+	}
+
+	slept := 0
+	for r := 1; r <= gateProbeEvery && slept == 0; r++ {
+		step("quiet", r)
+		if gated.PendingHotEdges() == 0 {
+			slept = r
+		} else if gated.HotEdges() != gated.NumEdges() {
+			t.Fatalf("quiet round %d: fallback ran over %d of %d edges", r, gated.HotEdges(), gated.NumEdges())
+		}
+	}
+	if slept == 0 {
+		t.Fatalf("no probe put the quiesced graph to sleep within %d rounds: %d edges still pending",
+			gateProbeEvery, gated.PendingHotEdges())
+	}
+	step("asleep", slept+1)
+	if gated.HotEdges() != 0 || gated.HotNodes() != 0 {
+		t.Fatalf("round after the probe ran over %d edges / %d nodes, want none", gated.HotEdges(), gated.HotNodes())
+	}
+}
+
 // ballSize returns the node count of the radius-r BFS ball around start
 // and the number of edges with both endpoints inside it.
 func ballSize(e *Engine, start, r int) (nodes, edges int) {

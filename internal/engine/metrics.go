@@ -1,7 +1,5 @@
 package engine
 
-import "sync"
-
 // Sample is one round's streamed measurements: the discrepancy metrics the
 // paper bounds, the dummy-token count, the workload totals, topology size,
 // and the wall-clock latency of the round.
@@ -33,87 +31,4 @@ type Sample struct {
 	// round (the full active counts when gating is off).
 	HotNodes int `json:"hot_nodes"`
 	HotEdges int `json:"hot_edges"`
-}
-
-// Ring is a fixed-capacity ring buffer of samples — the engine's streaming
-// metrics window. The zero value is unusable; use newRing.
-//
-// Concurrency contract: the Ring is internally locked, so Len/Last/Samples
-// may be called concurrently with the engine's Step (which appends) —
-// Engine.Samples and Engine.LastSample are the one read surface that does
-// NOT require the server mutex. Every other Engine method still does: the
-// lock here protects only the sample buffer, not the engine state the
-// samples are computed from.
-type Ring struct {
-	mu   sync.Mutex
-	buf  []Sample
-	next int
-	full bool
-}
-
-func newRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]Sample, capacity)}
-}
-
-// append adds a sample, evicting the oldest when full.
-func (r *Ring) append(s Sample) {
-	r.mu.Lock()
-	r.buf[r.next] = s
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	r.mu.Unlock()
-}
-
-// Len returns the number of stored samples.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lenLocked()
-}
-
-func (r *Ring) lenLocked() int {
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
-}
-
-// Last returns the most recent sample and whether one exists.
-func (r *Ring) Last() (Sample, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.lenLocked() == 0 {
-		return Sample{}, false
-	}
-	i := r.next - 1
-	if i < 0 {
-		i = len(r.buf) - 1
-	}
-	return r.buf[i], true
-}
-
-// Samples returns up to max samples in chronological order (all when
-// max <= 0).
-func (r *Ring) Samples(max int) []Sample {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.lenLocked()
-	if max > 0 && max < n {
-		n = max
-	}
-	out := make([]Sample, 0, n)
-	start := r.next - n
-	if start < 0 {
-		start += len(r.buf)
-	}
-	for k := 0; k < n; k++ {
-		out = append(out, r.buf[(start+k)%len(r.buf)])
-	}
-	return out
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/load"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // walPair builds two identical engines on a 4x4 torus — one logging to a
@@ -331,7 +332,7 @@ func TestWALPoisonOnSinkFailure(t *testing.T) {
 
 type failingSink struct{ fail bool }
 
-func (s *failingSink) AppendEvent(*WireEvent) error {
+func (s *failingSink) AppendEvent(*wire.Event) error {
 	if s.fail {
 		return os.ErrClosed
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Server exposes a live Engine over HTTP: snapshots, the streaming metrics
@@ -22,8 +23,8 @@ import (
 //	GET  /metrics[?n=K]      last K ring samples (all buffered by default)
 //	GET  /metrics/prom       Prometheus text exposition of the registry
 //	GET  /debug/trace[?n=K]  flight recorder dump as JSONL, oldest first
-//	POST /events             inject one event (JSON body, see WireEvent)
-//	POST /events/stream      ingest an NDJSON event stream (one WireEvent
+//	POST /events             inject one event (JSON body, see wire.Event)
+//	POST /events/stream      ingest an NDJSON event stream (one wire.Event
 //	                         per line) with batching and backpressure
 //	POST /step[?rounds=N]    execute N balancing rounds (default 1)
 type Server struct {
@@ -202,7 +203,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
 		return
 	}
-	var req WireEvent
+	var req wire.Event
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode event: %w", err))
 		return

@@ -6,13 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/continuous"
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/load"
-	"repro/internal/obs"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -256,73 +254,25 @@ func NewFromState(state []byte, cfg Config) (*Engine, error) {
 		}
 	}
 
-	// Scalar section.
-	wmax := r.varint()
-	round := r.varint()
-	expectedReal := r.varint()
-	retiredDummies := r.varint()
-	eventsApplied := r.varint()
-	ledReal := r.varint()
-	ledTotal := r.varint()
-	ledCreated := r.varint()
-	speedSum := r.varint()
 	if r.err != nil {
 		return nil, r.err
 	}
-	if round < 0 || eventsApplied < 0 {
-		return nil, fmt.Errorf("engine state: negative round %d or event count %d", round, eventsApplied)
-	}
-
 	topo, err := graph.RestoreDynamic(gs)
 	if err != nil {
 		return nil, fmt.Errorf("engine state: %w", err)
 	}
+	e := newEngine(cfg, topo)
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) //lb:statefree worker-count default; restored engine is bit-identical for any worker count
+	// Scalar section, in EncodeState's order.
+	for _, p := range []*int64{&e.wmax, &e.round, &e.expectedReal, &e.retiredDummies,
+		&e.eventsApplied, &e.ledReal, &e.ledTotal, &e.ledCreated, &e.speedSum} {
+		*p = r.varint()
 	}
-	window := cfg.MetricsWindow
-	if window <= 0 {
-		window = 1024
+	if r.err != nil {
+		return nil, r.err
 	}
-	sampleEvery := cfg.SampleEvery
-	if sampleEvery <= 0 {
-		sampleEvery = 1
-	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	flightWindow := cfg.FlightWindow
-	if flightWindow <= 0 {
-		flightWindow = 1024
-	}
-	e := &Engine{
-		topo:           topo,
-		s:              make([]int64, nSlots),
-		x:              make([]float64, nSlots),
-		st:             make([]*dist.SendState, nSlots),
-		alpha:          make([]float64, eSlots),
-		fA:             make([]float64, eSlots),
-		fD:             make([]int64, eSlots),
-		net:            make([]float64, eSlots),
-		gap:            make([]float64, eSlots),
-		outbox:         make([]outMsg, eSlots),
-		wmax:           wmax,
-		round:          round,
-		expectedReal:   expectedReal,
-		retiredDummies: retiredDummies,
-		eventsApplied:  eventsApplied,
-		ledReal:        ledReal,
-		ledTotal:       ledTotal,
-		ledCreated:     ledCreated,
-		speedSum:       speedSum,
-		ring:           newRing(window),
-		sampleEvery:    sampleEvery,
-		deepAudit:      cfg.DeepAudit,
-		instr:          newInstruments(reg),
-		flight:         obs.NewFlightRecorder[TraceRecord](flightWindow),
+	if e.round < 0 || e.eventsApplied < 0 {
+		return nil, fmt.Errorf("engine state: negative round %d or event count %d", e.round, e.eventsApplied)
 	}
 
 	// Per-node section.
@@ -369,8 +319,8 @@ func NewFromState(state []byte, cfg Config) (*Engine, error) {
 	if len(r.b) != 0 {
 		return nil, fmt.Errorf("engine state: %d trailing bytes", len(r.b))
 	}
-	if checkSpeed != speedSum {
-		return nil, fmt.Errorf("engine state: speeds sum to %d but ledger says %d", checkSpeed, speedSum)
+	if checkSpeed != e.speedSum {
+		return nil, fmt.Errorf("engine state: speeds sum to %d but ledger says %d", checkSpeed, e.speedSum)
 	}
 	// α is a pure function of speeds and degrees; recompute and compare so
 	// a snapshot from a diverging build (or a tampered one) fails loudly.
@@ -387,20 +337,11 @@ func NewFromState(state []byte, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine state: conservation audit failed: %w", err)
 	}
 	e.fullAudits = 0 // the restore-time audit is not part of the run's history
-	e.pool = newWorkerPool(workers)
 	// Gate state is deliberately absent from the encoding: it is
 	// reconstructed, never trusted from disk. Waking the whole graph is the
 	// conservative reconstruction — over-waking is semantics-preserving, so
 	// the restored engine is bit-identical to the one that encoded.
-	e.initGate(cfg.Gate == GateOn)
-
-	if cfg.WAL != nil {
-		if err := e.AttachWAL(cfg.WAL, cfg.SnapshotEvery); err != nil {
-			e.Close()
-			return nil, err
-		}
-	}
-	return e, nil
+	return e.start(cfg)
 }
 
 // Restore rebuilds an engine from a log recovery: the snapshot state plus

@@ -21,16 +21,11 @@ import (
 // split across lines.
 const maxArrivalTokens = 1 << 20
 
-// WireEvent is the JSON wire form of an injected event: the body of
-// POST /events and one NDJSON line of POST /events/stream. It aliases
-// wire.Event so workload generators can emit the format without
-// importing the engine.
-type WireEvent = wire.Event
-
-// FromWire converts the wire form into a runtime event, validating the
-// fields the Kind requires. Semantic checks that need engine state (node
-// liveness, topology) still happen at apply time.
-func FromWire(req *WireEvent) (Event, error) {
+// FromWire converts the wire form of an injected event (the body of
+// POST /events, one NDJSON line of POST /events/stream) into a runtime
+// event, validating the fields the Kind requires. Semantic checks that
+// need engine state (node liveness, topology) still happen at apply time.
+func FromWire(req *wire.Event) (Event, error) {
 	switch req.Kind {
 	case "arrival":
 		if len(req.Weights) > 0 {
@@ -90,12 +85,12 @@ func FromWire(req *WireEvent) (Event, error) {
 }
 
 // ParseEventLine decodes one NDJSON line into a runtime event. It
-// accepts exactly the lines json.Unmarshal accepts into a WireEvent, so
+// accepts exactly the lines json.Unmarshal accepts into a wire.Event, so
 // any non-whitespace after the object — a second event, a stray bracket —
 // is an error rather than a silent drop. See decodeWire for the
 // canonical-form fast path.
 func ParseEventLine(line []byte) (Event, error) {
-	var req WireEvent
+	var req wire.Event
 	if err := decodeWire(line, &req); err != nil {
 		return Event{}, fmt.Errorf("decode event: %w", err)
 	}
@@ -176,7 +171,7 @@ func newIngestInstruments(reg *obs.Registry) *ingestInstruments {
 	}
 }
 
-// handleEventStream ingests an NDJSON event stream: one WireEvent per
+// handleEventStream ingests an NDJSON event stream: one wire.Event per
 // line, scheduled in batches of at most MaxBatch under the engine lock.
 //
 // Backpressure: with step=auto (the default) the handler applies the

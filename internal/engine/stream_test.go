@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/load"
+	"repro/internal/wire"
 )
 
 // startStreamServer builds a live server with tight stream limits so a
@@ -38,7 +39,7 @@ func startStreamServer(t *testing.T, lim StreamLimits) (*httptest.Server, *Serve
 }
 
 // ndjson renders events as one NDJSON body.
-func ndjson(t *testing.T, events []WireEvent) []byte {
+func ndjson(t *testing.T, events []wire.Event) []byte {
 	t.Helper()
 	buf := &bytes.Buffer{}
 	enc := json.NewEncoder(buf)
@@ -50,12 +51,12 @@ func ndjson(t *testing.T, events []WireEvent) []byte {
 	return buf.Bytes()
 }
 
-func pumpEvents(n int) []WireEvent {
-	events := make([]WireEvent, 0, n)
+func pumpEvents(n int) []wire.Event {
+	events := make([]wire.Event, 0, n)
 	for i := 0; len(events) < n; i++ {
-		events = append(events, WireEvent{Kind: "arrival", Node: i % 36, Tokens: 4})
+		events = append(events, wire.Event{Kind: "arrival", Node: i % 36, Tokens: 4})
 		if len(events) < n {
-			events = append(events, WireEvent{Kind: "completion", Node: (i + 7) % 36, Count: 4})
+			events = append(events, wire.Event{Kind: "completion", Node: (i + 7) % 36, Count: 4})
 		}
 	}
 	return events
@@ -398,7 +399,7 @@ func TestParseEventLine(t *testing.T) {
 // dummy tasks, no unbounded allocations from a short line. It is also a
 // differential oracle against encoding/json: the decoded wire value, the
 // accept/reject decision, the decode error and the FromWire result must
-// all equal those of json.Unmarshal into a WireEvent.
+// all equal those of json.Unmarshal into a wire.Event.
 func FuzzParseEventLine(f *testing.F) {
 	f.Add([]byte(`{"kind":"arrival","node":3,"tokens":5}`))
 	f.Add([]byte(`{"kind":"arrival","node":0,"tokens":2,"weight":9,"at":17}`))
@@ -430,7 +431,7 @@ func FuzzParseEventLine(f *testing.F) {
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, line []byte) {
-		var got, want WireEvent
+		var got, want wire.Event
 		gotErr := decodeWire(line, &got)
 		wantErr := json.Unmarshal(line, &want)
 		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {

@@ -1,6 +1,6 @@
 // Package experiments contains the drivers that regenerate the paper's
 // evaluation artifacts: Table 1 (diffusion model), Table 2 (matching model),
-// and the theorem-scaling experiments F1–F6 listed in DESIGN.md. The same
+// and the theorem-scaling experiments F1–F6 listed in README.md. The same
 // drivers back cmd/lbtable, cmd/lbsweep and the repository benchmarks.
 package experiments
 

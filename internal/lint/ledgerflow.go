@@ -47,8 +47,9 @@ type LedgerPolicy struct {
 }
 
 // DefaultLedgerPolicy is the production table: engine mutations flow
-// through mutateLedgered/addTasksLedgered or the three round phases; dist
-// mutations through SendState's own implementation and the per-node round.
+// through mutateLedgered/addTasksLedgered or the round's two per-node
+// phase bodies (decide and deliver); dist mutations through SendState's
+// own implementation and the per-node round.
 func DefaultLedgerPolicy() LedgerPolicy {
 	return LedgerPolicy{
 		GuardedPkg:  "internal/dist",
@@ -65,10 +66,8 @@ func DefaultLedgerPolicy() LedgerPolicy {
 			"internal/engine": {
 				"mutateLedgered":   true,
 				"addTasksLedgered": true,
-				"decideFullNode":   true,
-				"deliverFullNode":  true,
-				"decideGatedNode":  true,
-				"deliverGatedNode": true,
+				"decideNode":       true,
+				"deliverNode":      true,
 			},
 			"internal/dist": {
 				"runRound": true,

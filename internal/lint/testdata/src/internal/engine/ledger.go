@@ -32,23 +32,13 @@ func (e *engine) applyArrival(st *dist.SendState, ts []dist.Task) {
 	})
 }
 
-// decideFullNode is the approved decide-phase body.
-func (e *engine) decideFullNode(i int) {
-	e.st[i].Take()
-}
-
-// deliverFullNode is the approved delivery-phase body.
-func (e *engine) deliverFullNode(i int, ts []dist.Task) {
-	e.st[i].AddTasks(ts)
-}
-
-// decideGatedNode is the approved gated decide-phase body.
-func (e *engine) decideGatedNode(k int) {
+// decideNode is the approved decide-phase body.
+func (e *engine) decideNode(k int) {
 	e.st[k].Take()
 }
 
-// deliverGatedNode is the approved gated delivery-phase body.
-func (e *engine) deliverGatedNode(k int, ts []dist.Task) {
+// deliverNode is the approved delivery-phase body.
+func (e *engine) deliverNode(k int, ts []dist.Task) {
 	e.st[k].AddTasks(ts)
 }
 
